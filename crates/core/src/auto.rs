@@ -233,8 +233,8 @@ pub fn predicted_bytes(stats: &MatrixStats, kind: SymmetryKind, spec: &PlanSpec)
 }
 
 /// Enumerates the candidate space `format × method × threads × lanes`,
-/// scored by [`predicted_bytes`]. Invalid combinations (hybrid × naive)
-/// are skipped. The result is unsorted; callers prune or rank it.
+/// scored by [`predicted_bytes`]. Invalid combinations (hybrid × naive,
+/// and race × any format but SSS; see [`PlanSpec::is_valid`]) are skipped. The result is unsorted; callers prune or rank it.
 pub fn enumerate_candidates(
     stats: &MatrixStats,
     kind: SymmetryKind,
@@ -280,7 +280,7 @@ pub fn cost_model_choice(
     nthreads: usize,
 ) -> (PlanSpec, f64) {
     let candidates = enumerate_candidates(stats, kind, &[nthreads], &[1]);
-    // The space is non-empty by construction (≥ 8 valid combinations) and
+    // The space is non-empty by construction (9 valid combinations) and
     // the model never produces NaN, so a missing minimum is unreachable.
     candidates
         .into_iter()
@@ -375,7 +375,8 @@ mod tests {
         assert!(all
             .iter()
             .all(|(s, _)| !(s.format == FormatTag::Hybrid && s.method == ReductionMethod::Naive)));
-        // 3 formats × 3 methods − hybrid-naive = 8 combos, × 2 threads × 2 lanes.
+        // 3 formats × 4 methods − hybrid-naive − race on CSX-sym and hybrid
+        // = 9 combos, × 2 threads × 2 lanes.
         assert_eq!(all.len(), 9 * 2 * 2);
         assert!(all.iter().all(|(_, c)| c.is_finite() && *c > 0.0));
     }

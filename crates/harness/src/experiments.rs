@@ -47,9 +47,7 @@ impl Default for ExpConfig {
         ExpConfig {
             scale: 0.02,
             iterations: 128,
-            max_threads: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4),
+            max_threads: crate::machine::ncpus(),
             out_dir: PathBuf::from("results"),
             matrices: Vec::new(),
             cg_iters: 512,

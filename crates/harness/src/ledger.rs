@@ -11,14 +11,14 @@
 //!
 //! Schema (`bench-v1`): one [`BenchReport`] per bench target —
 //! `{schema, target, machine, samples: [SampleSet...]}` — written through
-//! the std-only [`crate::json`] module. Medians/MAD/min are *derived*
+//! the std-only [`symspmv_verify::jsonio`] codec. Medians/MAD/min are *derived*
 //! fields: they are emitted for `jq` convenience but recomputed from the
 //! raw samples on parse, so a hand-edited baseline cannot disagree with its
 //! own data.
 
-use crate::json::{Json, JsonError};
 use crate::machine::MachineInfo;
 use symspmv_runtime::PhaseTimes;
+use symspmv_verify::jsonio::Json;
 
 /// Why a ledger document could not be built or understood.
 #[derive(Debug)]
@@ -28,8 +28,8 @@ pub enum LedgerError {
         /// Which record carried the bad value.
         context: String,
     },
-    /// The text is not valid JSON.
-    Json(JsonError),
+    /// The text is not valid JSON, or a value cannot be written as JSON.
+    Json(String),
     /// The JSON is valid but does not follow the `bench-v1` schema.
     Schema {
         /// What is missing or mistyped.
@@ -43,19 +43,13 @@ impl std::fmt::Display for LedgerError {
             LedgerError::NonFinite { context } => {
                 write!(fm, "non-finite measurement in {context}")
             }
-            LedgerError::Json(e) => write!(fm, "{e}"),
+            LedgerError::Json(e) => write!(fm, "JSON: {e}"),
             LedgerError::Schema { reason } => write!(fm, "not a bench-v1 document: {reason}"),
         }
     }
 }
 
 impl std::error::Error for LedgerError {}
-
-impl From<JsonError> for LedgerError {
-    fn from(e: JsonError) -> Self {
-        LedgerError::Json(e)
-    }
-}
 
 /// Schema tag written into every report.
 pub const SCHEMA: &str = "bench-v1";
@@ -332,12 +326,12 @@ impl BenchReport {
             .map(SampleSet::to_json)
             .collect::<Result<_, _>>()?;
         o.push("samples", Json::Arr(samples));
-        Ok(o.to_pretty()?)
+        o.to_pretty().map_err(LedgerError::Json)
     }
 
     /// Parses a `bench-v1` document.
     pub fn from_json(text: &str) -> Result<Self, LedgerError> {
-        let doc = Json::parse(text)?;
+        let doc = Json::parse(text).map_err(LedgerError::Json)?;
         match doc.get("schema").and_then(Json::as_str) {
             Some(s) if s == SCHEMA => {}
             other => {
@@ -432,6 +426,16 @@ mod tests {
         assert_eq!(parsed.file_name(), "BENCH_unit.json");
         assert!(parsed.find("g", "bare").is_some());
         assert!(parsed.find("g", "nope").is_none());
+    }
+
+    // Golden file: the committed baseline re-serializes byte for byte, so
+    // the codec's layout and number format cannot drift unnoticed.
+    #[test]
+    fn committed_baseline_round_trips_byte_identically() {
+        let text = include_str!("../../../bench/baseline.json");
+        let parsed = BenchReport::from_json(text).unwrap();
+        assert!(!parsed.samples.is_empty());
+        assert_eq!(parsed.to_json().unwrap(), text);
     }
 
     #[test]

@@ -14,12 +14,15 @@ pub mod conformance;
 pub mod error;
 pub mod experiments;
 pub mod framework;
-pub mod json;
 pub mod kernels;
 pub mod ledger;
 pub mod machine;
 pub mod plot;
 pub mod report;
+
+/// The bench ledger's JSON codec, shared with the certificates and the
+/// plan store.
+pub use symspmv_verify::jsonio as json;
 
 pub use error::HarnessError;
 pub use framework::{measure, Measurement};

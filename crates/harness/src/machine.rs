@@ -1,29 +1,20 @@
 //! Host characterization — the stand-in for the paper's Table II
 //! (platform description + STREAM-measured sustained bandwidth).
+//!
+//! The CPU model and count come from [`symspmv_tune::machine`], which keys
+//! the plan store by them; this module adds what the ledger records on
+//! top: caches, triad bandwidth, toolchain and source revision.
 
-use crate::json::Json;
 use crate::ledger::LedgerError;
 use crate::report::Table;
 use std::time::Instant;
+pub use symspmv_tune::machine::{cpu_model, ncpus};
+use symspmv_verify::jsonio::Json;
 
-/// One row of host information.
 fn read_trimmed(path: &str) -> Option<String> {
     std::fs::read_to_string(path)
         .ok()
         .map(|s| s.trim().to_string())
-}
-
-/// CPU model name from /proc/cpuinfo (Linux).
-pub fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|v| v.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".into())
 }
 
 /// Cache descriptions from sysfs: (level, type, size).
@@ -92,9 +83,7 @@ impl MachineInfo {
     /// Detects the current host, toolchain and source revision.
     pub fn detect() -> MachineInfo {
         MachineInfo {
-            ncpus: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
+            ncpus: ncpus(),
             cpu_model: cpu_model(),
             caches: caches()
                 .into_iter()
@@ -213,12 +202,7 @@ fn git_revision() -> String {
 pub fn describe() -> Table {
     let mut t = Table::new(&["property", "value"]);
     t.row(vec!["cpu model".into(), cpu_model()]);
-    t.row(vec![
-        "available parallelism".into(),
-        std::thread::available_parallelism()
-            .map(|p| p.get().to_string())
-            .unwrap_or("?".into()),
-    ]);
+    t.row(vec!["available parallelism".into(), ncpus().to_string()]);
     for (level, ctype, size) in caches() {
         t.row(vec![
             format!("L{level} {} cache", ctype.to_lowercase()),

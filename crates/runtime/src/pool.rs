@@ -35,8 +35,8 @@
 //! routable to the serial fallback.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -45,12 +45,16 @@ use std::thread::JoinHandle;
 use crate::fault::FaultPlan;
 use crate::supervisor::{Deadline, HealthState, Interrupt, SupervisionCell};
 
-/// Global count of pools ever constructed in this process.
-///
-/// The [`ExecutionContext`](crate::ExecutionContext) refactor promises that a
-/// whole harness sweep (or a full CG solve) creates exactly one pool; tests
-/// assert that promise by sampling this counter before and after.
-static POOLS_CREATED: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Count of pools constructed by this thread.
+    ///
+    /// The [`ExecutionContext`](crate::ExecutionContext) refactor promises
+    /// that a whole harness sweep (or a full CG solve) creates exactly one
+    /// pool; tests assert that promise by sampling this counter before and
+    /// after. It is per thread so that tests running in parallel do not
+    /// see each other's pools.
+    static POOLS_CREATED: Cell<usize> = const { Cell::new(0) };
+}
 
 /// The closure signature workers execute: SPMD body receiving a thread id.
 type SpmdRef<'a> = &'a (dyn Fn(usize) + Sync);
@@ -176,9 +180,7 @@ impl WorkerPool {
     /// Panics if `nthreads == 0`.
     pub fn new(nthreads: usize) -> Self {
         assert!(nthreads > 0, "a pool needs at least one worker");
-        // RELAXED(process-lifetime telemetry counter; no other memory
-        // depends on its value)
-        POOLS_CREATED.fetch_add(1, Ordering::Relaxed);
+        POOLS_CREATED.with(|c| c.set(c.get() + 1));
         let (done_tx, done_rx) = sync_channel::<RoundResult>(nthreads);
         let mut cmd_txs = Vec::with_capacity(nthreads);
         let mut handles = Vec::with_capacity(nthreads);
@@ -215,11 +217,10 @@ impl WorkerPool {
         self.cmd_txs.len()
     }
 
-    /// How many pools have ever been constructed in this process.
+    /// How many pools the calling thread has constructed so far. Pools
+    /// built on other threads are not counted.
     pub fn pools_created() -> usize {
-        // RELAXED(telemetry read of a monotonic counter; approximate
-        // freshness is acceptable)
-        POOLS_CREATED.load(Ordering::Relaxed)
+        POOLS_CREATED.with(Cell::get)
     }
 
     /// The supervision slot consulted at every round checkpoint. The
@@ -560,7 +561,7 @@ mod tests {
         let before = WorkerPool::pools_created();
         let _a = WorkerPool::new(1);
         let _b = WorkerPool::new(2);
-        assert!(WorkerPool::pools_created() >= before + 2);
+        assert_eq!(WorkerPool::pools_created(), before + 2);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Small dense helpers used by tests and the CG solver's vector phase.
 
 use crate::coo::CooMatrix;
-use crate::{Idx, Val};
+use crate::rng::StdRng;
+use crate::Val;
 
 /// A trivially simple dense row-major matrix, used as the ground truth in
 /// format-equivalence tests. Not intended for performance.
@@ -96,26 +97,14 @@ pub fn max_rel_diff(a: &[Val], b: &[Val]) -> Val {
         .fold(0.0, Val::max)
 }
 
-/// Creates a deterministic pseudo-random vector in `[-1, 1)` without pulling
-/// in an RNG dependency at use sites (splitmix64-based).
+/// Creates a deterministic pseudo-random vector in `[-1, 1)` from the
+/// [`StdRng`] stream of `seed`.
 pub fn seeded_vector(n: usize, seed: u64) -> Vec<Val> {
-    let mut state = seed.wrapping_add(0x9E3779B97F4A7C15);
-    (0..n)
-        .map(|_| {
-            state = state.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^= z >> 31;
-            // Map the top 53 bits to [0, 1), then to [-1, 1).
-            (z >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
-        })
-        .collect()
-}
-
-/// `Idx`-indexed convenience: length of `0..n` as usize.
-pub fn n_usize(n: Idx) -> usize {
-    n as usize
+    let mut rng = StdRng::seed_from_u64(seed);
+    // The vector starts at the stream's second output; the pinned test
+    // below holds it there.
+    rng.next_u64();
+    (0..n).map(|_| rng.random::<f64>() * 2.0 - 1.0).collect()
 }
 
 #[cfg(test)]
@@ -151,6 +140,17 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert!(a.iter().all(|v| (-1.0..1.0).contains(v)));
+        // The first values of one stream, pinned bit for bit.
+        let bits: Vec<u64> = a[..4].iter().map(|v| v.to_bits()).collect();
+        assert_eq!(
+            bits,
+            [
+                0xbfe5_c407_3313_6644,
+                0xbfdc_56cc_5476_7834,
+                0xbfd3_f18f_0078_da90,
+                0xbfed_90e9_e976_edf8,
+            ]
+        );
     }
 
     #[test]

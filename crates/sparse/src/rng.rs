@@ -1,12 +1,13 @@
-//! A small deterministic PRNG for matrix generators.
+//! The workspace's one deterministic PRNG.
 //!
-//! The generator suite only needs reproducible streams keyed by a `u64`
-//! seed — every determinism test compares same-seed outputs, never a
-//! specific sequence — so a dependency-free SplitMix64 (Steele et al.,
-//! "Fast splittable pseudorandom number generators", OOPSLA'14) is
-//! sufficient and keeps the workspace free of external crates. The API
-//! mirrors the subset of `rand` the generators use: `seed_from_u64`,
-//! `random::<f64>()` and `random_range` over integer and float ranges.
+//! Matrix generators, [`crate::dense::seeded_vector`], retry jitter, the
+//! chaos fault schedule and the tuner's model measurer all draw from it.
+//! They need reproducible streams keyed by a `u64` seed, so a
+//! dependency-free SplitMix64 (Steele et al., "Fast splittable
+//! pseudorandom number generators", OOPSLA'14) is sufficient and keeps the
+//! workspace free of external crates. The API mirrors the subset of
+//! `rand` the callers use: `seed_from_u64`, `random::<f64>()` and
+//! `random_range` over integer and float ranges.
 
 use std::ops::{Range, RangeInclusive};
 

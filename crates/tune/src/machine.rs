@@ -1,11 +1,9 @@
-//! Minimal machine identity for plan-store keys.
+//! Machine identity: the CPU model and the logical CPU count.
 //!
-//! The harness has a richer `MachineInfo` (caches, rustc, git revision)
-//! for bench ledgers, but the harness sits *above* this crate in the
-//! dependency graph, and a plan-store key wants exactly two stable facts:
-//! the CPU model and the logical CPU count. Git revision and rustc are
-//! deliberately excluded — a tuned plan is a property of the hardware,
-//! not of the tree that measured it.
+//! These two facts key the plan store, and the bench ledger records them
+//! with every measurement. Git revision and rustc are deliberately
+//! excluded from the store key — a tuned plan is a property of the
+//! hardware, not of the tree that measured it.
 
 /// Logical CPUs visible to this process.
 pub fn ncpus() -> usize {
@@ -17,7 +15,7 @@ pub fn ncpus() -> usize {
 /// The CPU model string (`/proc/cpuinfo` "model name"), or a portable
 /// stand-in when unavailable. Whitespace is collapsed so the key is
 /// stable across kernels that pad the field differently.
-pub fn machine_model() -> String {
+pub fn cpu_model() -> String {
     let from_proc = std::fs::read_to_string("/proc/cpuinfo")
         .ok()
         .and_then(|text| {
@@ -38,7 +36,8 @@ mod tests {
 
     #[test]
     fn machine_key_parts_are_stable_within_a_process() {
-        assert_eq!(machine_model(), machine_model());
+        assert_eq!(cpu_model(), cpu_model());
+        assert!(!cpu_model().is_empty());
         assert!(ncpus() >= 1);
     }
 }

@@ -29,6 +29,7 @@ use symspmv_core::auto::{enumerate_candidates, FormatTag, PlanSpec};
 use symspmv_core::{ParallelSpmm, ParallelSpmv, ReductionMethod, SymSpmv, SymSpmvError};
 use symspmv_runtime::ExecutionContext;
 use symspmv_sparse::block::VectorBlock;
+use symspmv_sparse::rng::StdRng;
 use symspmv_sparse::stats::{matrix_stats, MatrixStats};
 use symspmv_sparse::{CooMatrix, SparseError, SssMatrix};
 
@@ -215,19 +216,11 @@ impl Measurer for TimedMeasurer {
 }
 
 /// A deterministic pseudo-measurer: "timings" are the cost-model
-/// prediction perturbed by a SplitMix64 stream seeded from
+/// prediction perturbed by a [`StdRng`] stream seeded from
 /// `(opts.seed, spec.id())`. Two runs with the same seed produce
 /// bit-identical samples — the determinism contract the test suite pins.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ModelMeasurer;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 impl Measurer for ModelMeasurer {
     fn measure(
@@ -237,17 +230,14 @@ impl Measurer for ModelMeasurer {
         predicted: f64,
         opts: &TuneOptions,
     ) -> Result<Vec<f64>, SymSpmvError> {
-        let mut state = opts.seed;
+        let mut seed = opts.seed;
         for byte in spec.id().bytes() {
-            state = state.wrapping_mul(0x100).wrapping_add(byte as u64);
-            splitmix64(&mut state);
+            seed = StdRng::seed_from_u64(seed ^ u64::from(byte)).next_u64();
         }
+        let mut rng = StdRng::seed_from_u64(seed);
         let samples = (0..opts.samples.max(1))
-            .map(|_| {
-                // ±5% multiplicative jitter around a fictional 10 GB/s.
-                let jitter = (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
-                predicted / 10e9 * (0.95 + 0.1 * jitter)
-            })
+            // ±5% multiplicative jitter around a fictional 10 GB/s.
+            .map(|_| predicted / 10e9 * (0.95 + 0.1 * rng.random::<f64>()))
             .collect();
         Ok(samples)
     }

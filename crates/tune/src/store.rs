@@ -206,14 +206,9 @@ pub struct PlanStore {
 
 impl PlanStore {
     /// Opens (or initializes empty) the store in `dir` for this machine:
-    /// `ncpus` from `available_parallelism`, the model string from
-    /// [`crate::machine::machine_model`].
+    /// [`crate::machine::cpu_model`] and [`crate::machine::ncpus`].
     pub fn open(dir: &Path) -> Result<PlanStore, SymSpmvError> {
-        Self::open_for_machine(
-            dir,
-            crate::machine::machine_model(),
-            crate::machine::ncpus(),
-        )
+        Self::open_for_machine(dir, crate::machine::cpu_model(), crate::machine::ncpus())
     }
 
     /// Opens the store in `dir` under an explicit machine identity — the

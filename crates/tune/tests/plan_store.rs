@@ -216,7 +216,7 @@ fn auto_kernel_runs_on_the_stored_thread_count() {
     let coo = gen::laplacian_2d(16, 16);
     let mut store = PlanStore::open_for_machine(
         &dir,
-        symspmv_tune::machine::machine_model(),
+        symspmv_tune::machine::cpu_model(),
         symspmv_tune::machine::ncpus(),
     )
     .unwrap();

@@ -1,12 +1,14 @@
-//! A minimal std-only JSON reader/writer for the verification layer.
+//! A minimal std-only JSON reader/writer: the one codec behind race
+//! certificates, audit findings, the plan store and the bench ledger.
 //!
-//! The bench ledger has its own JSON *writer* in the harness; the verify
-//! crate needs both directions (certificates round-trip, the audit binary
-//! emits findings) without depending on the harness or on serde. The
+//! Objects keep insertion order, so writes are stable and diffs of
+//! committed artifacts (`bench/baseline.json`) stay reviewable. The
 //! dialect is deliberately strict where floats are concerned: `NaN`,
 //! `Infinity` and overflowing literals like `1e999` are rejected on parse,
-//! and non-finite numbers are rejected on write — a certificate or finding
-//! containing one is corrupt by definition.
+//! and non-finite numbers are rejected on write — a certificate, finding
+//! or measurement containing one is corrupt by definition.
+
+use std::fmt::Write as _;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,14 +48,71 @@ impl Json {
     /// Serializes the value compactly. Fails on non-finite numbers.
     pub fn write(&self) -> Result<String, String> {
         let mut out = String::new();
-        write_value(self, &mut out)?;
+        write_value(self, &mut out, None)?;
         Ok(out)
+    }
+
+    /// Serializes with two-space indentation and a trailing newline.
+    /// Arrays of scalars stay on one line. Fails on non-finite numbers.
+    pub fn to_pretty(&self) -> Result<String, String> {
+        let mut out = String::new();
+        write_value(self, &mut out, Some(0))?;
+        out.push('\n');
+        Ok(out)
+    }
+
+    /// An empty object, to be filled with [`Json::push`].
+    pub fn obj() -> Json {
+        Json::Obj(Vec::new())
+    }
+
+    /// Appends a field to an object (panics on non-objects — construction
+    /// bug, not data).
+    pub fn push(&mut self, key: &str, value: Json) -> &mut Json {
+        match self {
+            Json::Obj(fields) => fields.push((key.to_string(), value)),
+            _ => unreachable!("Json::push on a non-object"),
+        }
+        self
     }
 
     /// Looks up a key of an object; `None` for absent keys or non-objects.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The value as a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The value as a non-negative integer (rejects fractional parts and
+    /// magnitudes beyond `f64`'s exact integer range).
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= 2f64.powi(53) => Some(*v as u64),
+            _ => None,
+        }
+    }
+
+    /// The value as a string slice.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value as an array slice.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
             _ => None,
         }
     }
@@ -226,7 +285,10 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn write_value(value: &Json, out: &mut String) -> Result<(), String> {
+/// Writes `value`; `indent` is `None` for the compact form, or the current
+/// nesting depth for the pretty form.
+fn write_value(value: &Json, out: &mut String, indent: Option<usize>) -> Result<(), String> {
+    let inner = indent.map(|d| d + 1);
     match value {
         Json::Null => out.push_str("null"),
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -234,20 +296,35 @@ fn write_value(value: &Json, out: &mut String) -> Result<(), String> {
             if !x.is_finite() {
                 return Err(format!("cannot serialize non-finite number {x}"));
             }
-            if x.fract() == 0.0 && x.abs() < 9.0e15 {
-                out.push_str(&format!("{}", *x as i64));
+            // Integers stay integers; otherwise Rust's float Display is
+            // shortest-round-trip, so the parser recovers the bits exactly.
+            if x.fract() == 0.0 && x.abs() < 2f64.powi(53) {
+                let _ = write!(out, "{}", *x as i64);
             } else {
-                out.push_str(&format!("{x}"));
+                let _ = write!(out, "{x}");
             }
         }
         Json::Str(s) => write_string(s, out),
         Json::Arr(items) => {
+            // Arrays of scalars stay on one line even when pretty (sample
+            // vectors would otherwise dominate a ledger file).
+            let scalar = items
+                .iter()
+                .all(|i| !matches!(i, Json::Arr(_) | Json::Obj(_)));
             out.push('[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                write_value(item, out)?;
+                match inner {
+                    Some(d) if !scalar => newline_indent(out, d),
+                    Some(_) if i > 0 => out.push(' '),
+                    _ => {}
+                }
+                write_value(item, out, inner)?;
+            }
+            if let Some(d) = indent.filter(|_| !scalar) {
+                newline_indent(out, d);
             }
             out.push(']');
         }
@@ -257,14 +334,27 @@ fn write_value(value: &Json, out: &mut String) -> Result<(), String> {
                 if i > 0 {
                     out.push(',');
                 }
+                if let Some(d) = inner {
+                    newline_indent(out, d);
+                }
                 write_string(key, out);
-                out.push(':');
-                write_value(item, out)?;
+                out.push_str(if indent.is_some() { ": " } else { ":" });
+                write_value(item, out, inner)?;
+            }
+            if let Some(d) = indent.filter(|_| !fields.is_empty()) {
+                newline_indent(out, d);
             }
             out.push('}');
         }
     }
     Ok(())
+}
+
+fn newline_indent(out: &mut String, depth: usize) {
+    out.push('\n');
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
 }
 
 fn write_string(s: &str, out: &mut String) {
@@ -276,7 +366,9 @@ fn write_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -291,9 +383,53 @@ mod tests {
     fn round_trips_nested_values() {
         let src = r#"{"a":[1,2.5,-3],"b":{"c":"x\ny","d":null},"e":true}"#;
         let v = Json::parse(src).unwrap();
-        assert_eq!(Json::parse(&v.write().unwrap()).unwrap(), v);
+        assert_eq!(v.write().unwrap(), src);
+        assert_eq!(Json::parse(&v.to_pretty().unwrap()).unwrap(), v);
         assert_eq!(v.get("e"), Some(&Json::Bool(true)));
         assert_eq!(v.get("a").and_then(|a| a.get("c")), None);
+    }
+
+    #[test]
+    fn scalars_and_floats_round_trip_exactly() {
+        for v in [
+            Json::Null,
+            Json::Bool(true),
+            Json::Bool(false),
+            Json::Num(0.0),
+            Json::Num(-3.5),
+            Json::Num(1e-9),
+            Json::Num(123456789.0),
+            Json::Num(1.0 / 3.0),
+            Json::Num(2.2250738585072014e-308),
+            Json::Num(0.1 + 0.2),
+            Json::Num(6.02e23),
+            Json::Str("he\"llo\nworld \\ ü".into()),
+        ] {
+            for text in [v.write().unwrap(), v.to_pretty().unwrap()] {
+                assert_eq!(Json::parse(&text).unwrap(), v, "{text}");
+            }
+        }
+    }
+
+    #[test]
+    fn pretty_layout_preserves_order() {
+        let mut inner = Json::obj();
+        inner.push("b", Json::Num(2.0)).push("a", Json::Num(1.5));
+        let mut doc = Json::obj();
+        doc.push("name", Json::Str("x".into()))
+            .push("nums", Json::Arr(vec![Json::Num(1.0), Json::Num(2.0)]))
+            .push("arr", Json::Arr(vec![Json::Num(1.0), inner.clone()]))
+            .push("empty_arr", Json::Arr(vec![]))
+            .push("empty_obj", Json::obj());
+        let text = doc.to_pretty().unwrap();
+        assert_eq!(
+            text,
+            "{\n  \"name\": \"x\",\n  \"nums\": [1, 2],\n  \"arr\": [\n    1,\n    {\n      \
+             \"b\": 2,\n      \"a\": 1.5\n    }\n  ],\n  \"empty_arr\": [],\n  \"empty_obj\": {}\n}\n"
+        );
+        let parsed = Json::parse(&text).unwrap();
+        assert_eq!(parsed, doc);
+        assert_eq!(parsed.get("arr").unwrap().as_arr().unwrap()[1], inner);
     }
 
     #[test]
@@ -303,11 +439,12 @@ mod tests {
         assert!(Json::parse("-Infinity").is_err());
         assert!(Json::parse("1e999").is_err(), "overflow to inf");
         assert!(Json::parse("[1, NaN]").is_err());
-        assert!(Json::Num(f64::NAN).write().is_err());
-        assert!(Json::Num(f64::INFINITY).write().is_err());
-        assert!(Json::Arr(vec![Json::Num(f64::NEG_INFINITY)])
-            .write()
-            .is_err());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut doc = Json::obj();
+            doc.push("median", Json::Arr(vec![Json::Num(bad)]));
+            assert!(doc.write().is_err());
+            assert!(doc.to_pretty().is_err());
+        }
     }
 
     #[test]
@@ -317,8 +454,11 @@ mod tests {
             "{",
             "[1,]",
             "{\"a\":}",
+            "{\"a\" 1}",
+            "{\"a\": +}",
             "{\"a\":1,\"a\":2}", // duplicate key
             "tru",
+            "nul",
             "\"unterminated",
             "{\"a\":1} trailing",
             "01x",
@@ -344,5 +484,16 @@ mod tests {
             Json::parse("\"\\u0041\\u00e9\"").unwrap(),
             Json::Str("Aé".to_string())
         );
+    }
+
+    #[test]
+    fn accessors() {
+        let doc = Json::parse("{\"n\": 5, \"s\": \"x\", \"a\": [1.5], \"f\": 2.5}").unwrap();
+        assert_eq!(doc.get("n").unwrap().as_u64(), Some(5));
+        assert_eq!(doc.get("f").unwrap().as_u64(), None);
+        assert_eq!(doc.get("f").unwrap().as_f64(), Some(2.5));
+        assert_eq!(doc.get("s").unwrap().as_str(), Some("x"));
+        assert_eq!(doc.get("a").unwrap().as_arr().unwrap().len(), 1);
+        assert!(doc.get("missing").is_none());
     }
 }

@@ -92,11 +92,6 @@ fn random_certificates_round_trip_exactly() {
         let parsed = RaceCertificate::from_json(&text)
             .unwrap_or_else(|e| panic!("case {case}: parse failed: {e}\n{text}"));
         assert_eq!(parsed, cert, "case {case} diverged\n{text}");
-
-        // The plain-text round trip must agree with the JSON one.
-        let from_text = RaceCertificate::from_text(&cert.to_text())
-            .unwrap_or_else(|e| panic!("case {case}: text parse failed: {e}"));
-        assert_eq!(from_text, cert, "case {case}: text and JSON disagree");
     }
     assert!(
         coloring_seen,
@@ -109,7 +104,7 @@ fn sample() -> RaceCertificate {
 }
 
 #[test]
-fn unknown_proof_tag_rejected_both_ways() {
+fn unknown_proof_tag_rejected() {
     let cert = sample();
     let text = cert.to_json().unwrap();
     let tampered = text.replace(
@@ -119,12 +114,6 @@ fn unknown_proof_tag_rejected_both_ways() {
     assert_ne!(text, tampered, "tamper target not found");
     let err = RaceCertificate::from_json(&tampered).unwrap_err();
     assert!(matches!(err, VerifyError::MalformedPlan { .. }), "{err:?}");
-
-    // The text format enforces the same tag whitelist.
-    let plain = cert
-        .to_text()
-        .replace(&format!("proof={}", cert.proof.tag()), "proof=vibes");
-    assert!(RaceCertificate::from_text(&plain).is_err());
 }
 
 #[test]
