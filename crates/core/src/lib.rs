@@ -24,8 +24,6 @@
 //! * [`bcsr_mt`] — the auto-tuned register-blocking (BCSR) baseline;
 //! * [`csb_mt`] — the CSB and CSB-Sym comparators from the related work
 //!   (Buluç et al., refs. 8 and 27 of the paper);
-//! * [`sym_color`] — the "colorful" method of Batista et al. (ref. 7,
-//!   §VI): conflict-free row coloring instead of any reduction;
 //! * [`sym_atomic`] — an extension baseline: atomic conflicting updates
 //!   instead of local vectors (the CSB-style alternative discussed in the
 //!   paper's related work, §VI);
@@ -49,7 +47,6 @@ pub mod resilience;
 pub mod shared;
 pub mod sym;
 pub mod sym_atomic;
-pub mod sym_color;
 pub mod symbolic;
 pub mod traits;
 pub mod ws;
@@ -65,7 +62,6 @@ pub use plan::CachedSymPlan;
 pub use resilience::{fallback_worthy, FallbackKernel, Resilient, RetryPolicy, Served};
 pub use sym::{ReductionMethod, SymFormat, SymSpmv};
 pub use sym_atomic::SssAtomicParallel;
-pub use sym_color::SssColorParallel;
 pub use traits::{classify_unwind, BlockKernel, ParallelSpmmExt, ParallelSpmv, SymbolicDescribe};
 
 // Re-exported so block-kernel callers need only this crate in scope.

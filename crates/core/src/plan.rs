@@ -79,7 +79,7 @@ impl CachedSymPlan {
     pub fn obtain(
         sss: &SssMatrix,
         ctx: &Arc<ExecutionContext>,
-        strategy: &Arc<dyn ReductionStrategy>,
+        strategy: &dyn ReductionStrategy,
     ) -> Arc<CachedSymPlan> {
         let fingerprint = sss.fingerprint();
         let nthreads = ctx.nthreads();
@@ -101,7 +101,7 @@ impl CachedSymPlan {
     fn derive(
         sss: &SssMatrix,
         ctx: &Arc<ExecutionContext>,
-        strategy: &Arc<dyn ReductionStrategy>,
+        strategy: &dyn ReductionStrategy,
         fingerprint: u64,
     ) -> CachedSymPlan {
         let n = sss.n() as usize;
@@ -304,35 +304,19 @@ pub fn debug_certify_rows(n: u32, parts: &[Range], family: &str) {
     }
 }
 
-/// Debug-build certification of a greedy coloring: no two rows of one
-/// class may share a write target. Free in release builds.
-#[inline]
-pub fn debug_certify_color(sss: &SssMatrix, classes: &[Vec<u32>]) {
-    #[cfg(not(debug_assertions))]
-    let _ = (sss, classes);
-    #[cfg(debug_assertions)]
-    if let Err(e) = symspmv_verify::certify_color(sss, classes) {
-        unreachable!("coloring failed race certification: {e}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sym::ReductionMethod;
-
-    fn strategy(ctx: &Arc<ExecutionContext>, m: ReductionMethod) -> Arc<dyn ReductionStrategy> {
-        ctx.reduction(m.tag()).unwrap()
-    }
 
     #[test]
     fn same_configuration_reuses_plan() {
         let coo = symspmv_sparse::gen::banded_random(300, 16, 8.0, 3);
         let sss = SssMatrix::from_coo(&coo, 0.0).unwrap();
         let ctx = ExecutionContext::new(4);
-        let s = strategy(&ctx, ReductionMethod::Indexing);
-        let a = CachedSymPlan::obtain(&sss, &ctx, &s);
-        let b = CachedSymPlan::obtain(&sss, &ctx, &s);
+        let s = ReductionMethod::Indexing.strategy();
+        let a = CachedSymPlan::obtain(&sss, &ctx, s);
+        let b = CachedSymPlan::obtain(&sss, &ctx, s);
         assert!(Arc::ptr_eq(&a, &b), "second obtain must hit the cache");
         assert!(ctx.plan_cache_hits() >= 1);
     }
@@ -342,12 +326,8 @@ mod tests {
         let coo = symspmv_sparse::gen::banded_random(300, 16, 8.0, 3);
         let sss = SssMatrix::from_coo(&coo, 0.0).unwrap();
         let ctx = ExecutionContext::new(4);
-        let idx = CachedSymPlan::obtain(&sss, &ctx, &strategy(&ctx, ReductionMethod::Indexing));
-        let eff = CachedSymPlan::obtain(
-            &sss,
-            &ctx,
-            &strategy(&ctx, ReductionMethod::EffectiveRanges),
-        );
+        let idx = CachedSymPlan::obtain(&sss, &ctx, ReductionMethod::Indexing.strategy());
+        let eff = CachedSymPlan::obtain(&sss, &ctx, ReductionMethod::EffectiveRanges.strategy());
         assert!(
             Arc::ptr_eq(&idx.parts, &eff.parts),
             "strategies must share the row partition"
@@ -360,9 +340,9 @@ mod tests {
         let a = SssMatrix::from_coo(&symspmv_sparse::gen::laplacian_2d(12, 12), 0.0).unwrap();
         let b = SssMatrix::from_coo(&symspmv_sparse::gen::laplacian_2d(13, 13), 0.0).unwrap();
         let ctx = ExecutionContext::new(2);
-        let s = strategy(&ctx, ReductionMethod::EffectiveRanges);
-        let pa = CachedSymPlan::obtain(&a, &ctx, &s);
-        let pb = CachedSymPlan::obtain(&b, &ctx, &s);
+        let s = ReductionMethod::EffectiveRanges.strategy();
+        let pa = CachedSymPlan::obtain(&a, &ctx, s);
+        let pb = CachedSymPlan::obtain(&b, &ctx, s);
         assert_ne!(pa.fingerprint, pb.fingerprint);
         assert!(!Arc::ptr_eq(&pa, &pb));
     }
@@ -372,7 +352,7 @@ mod tests {
         let coo = symspmv_sparse::gen::laplacian_2d(16, 16);
         let sss = SssMatrix::from_coo(&coo, 0.0).unwrap();
         let ctx = ExecutionContext::new(4);
-        let plan = CachedSymPlan::obtain(&sss, &ctx, &strategy(&ctx, ReductionMethod::Indexing));
+        let plan = CachedSymPlan::obtain(&sss, &ctx, ReductionMethod::Indexing.strategy());
         plan.cert
             .validate_for(sss.fingerprint(), 4, "sym-sss", "idx")
             .unwrap();

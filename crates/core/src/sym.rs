@@ -1,9 +1,9 @@
 //! The multithreaded symmetric SpMV engine (§III + §IV).
 //!
 //! [`SymSpmv`] binds a symmetric matrix (stored as SSS or CSX-Sym), a
-//! static nnz-balanced row partition and a [`ReductionStrategy`] borrowed
-//! from the shared [`ExecutionContext`], and executes `y = A·x` in two
-//! timed phases:
+//! static nnz-balanced row partition and a built-in [`ReductionStrategy`]
+//! selected by [`ReductionMethod`], and executes `y = A·x` in two timed
+//! phases:
 //!
 //! 1. **multiply** — each thread computes its partition; transposed writes
 //!    that would cross partition boundaries go to local vectors (where they
@@ -11,10 +11,10 @@
 //! 2. **reduce** — the local vectors are folded into `y` in parallel by the
 //!    strategy.
 //!
-//! The three built-in strategies implement Fig. 3 of the paper (see
-//! `symspmv_runtime::reduction` for the details); [`ReductionMethod`] is
-//! the enum-shaped convenience handle that maps onto the registry names
-//! (`"naive"`, `"eff"`, `"idx"`). The local vectors themselves are leased
+//! The three reduction strategies implement Fig. 3 of the paper (see
+//! `symspmv_runtime::reduction` for the details); [`ReductionMethod`]
+//! names them (`"naive"`, `"eff"`, `"idx"`, plus the scheduled `"race"`)
+//! and resolves each to its strategy. The local vectors themselves are leased
 //! from the context's buffer arena per call, so consecutive invocations —
 //! and different kernels sharing one context — recycle the same
 //! first-touch-initialized pages.
@@ -32,6 +32,9 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use symspmv_csx::detect::DetectConfig;
 use symspmv_runtime::reduction::ReduceJob;
+use symspmv_runtime::reduction::{
+    EffectiveRangesReduction, IndexingReduction, NaiveReduction, RaceReduction,
+};
 use symspmv_runtime::timing::time_into;
 use symspmv_runtime::{ExecutionContext, ParallelSpmm, PhaseTimes, Range, ReductionStrategy};
 use symspmv_sparse::block::{VectorBlock, MAX_LANES};
@@ -40,9 +43,8 @@ use symspmv_sparse::{with_symmetry_ops, CooMatrix, SparseError, SssMatrix, Val};
 
 /// How local vectors are organized and reduced (Fig. 3 b/c/d).
 ///
-/// Each variant names a strategy pre-registered with every
-/// [`ExecutionContext`]; custom strategies registered later are reachable
-/// through [`SymSpmv::from_sss_named`].
+/// Each variant names one built-in [`ReductionStrategy`], returned by
+/// [`ReductionMethod::strategy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReductionMethod {
     /// Full-length local vector per thread (Alg. 3).
@@ -58,14 +60,24 @@ pub enum ReductionMethod {
 }
 
 impl ReductionMethod {
-    /// Short name used in kernel identifiers, reports, and as the registry
-    /// key of the corresponding built-in [`ReductionStrategy`].
+    /// Short name used in kernel identifiers and reports; equal to the
+    /// [`ReductionStrategy::name`] of [`ReductionMethod::strategy`].
     pub fn tag(self) -> &'static str {
         match self {
             ReductionMethod::Naive => "naive",
             ReductionMethod::EffectiveRanges => "eff",
             ReductionMethod::Indexing => "idx",
             ReductionMethod::Race => "race",
+        }
+    }
+
+    /// The strategy that implements this method.
+    pub fn strategy(self) -> &'static dyn ReductionStrategy {
+        match self {
+            ReductionMethod::Naive => &NaiveReduction,
+            ReductionMethod::EffectiveRanges => &EffectiveRangesReduction,
+            ReductionMethod::Indexing => &IndexingReduction,
+            ReductionMethod::Race => &RaceReduction,
         }
     }
 }
@@ -112,7 +124,6 @@ pub struct SymSpmv {
     nnz_full: usize,
     kind: SymmetryKind,
     method: ReductionMethod,
-    strategy: Arc<dyn ReductionStrategy>,
     storage: Storage,
     /// The certified, context-memoized plan: row partition, local-vector
     /// layout, conflict index, reduction chunks and the race certificate.
@@ -178,73 +189,15 @@ impl SymSpmv {
     /// Builds the kernel from an SSS matrix (symmetry already established;
     /// the matrix's [`SymmetryKind`] carries over to the kernel).
     ///
-    /// The reduction strategy is looked up in the context's registry by the
-    /// method's tag. Format preprocessing (CSX-Sym detection/encoding) and
-    /// the symbolic conflict analysis are timed into the `preprocess`
-    /// phase.
+    /// Format preprocessing (CSX-Sym detection/encoding) and the symbolic
+    /// conflict analysis are timed into the `preprocess` phase.
     pub fn from_sss(
         sss: SssMatrix,
         ctx: &Arc<ExecutionContext>,
         method: ReductionMethod,
         format: SymFormat,
     ) -> Self {
-        // The built-ins are registered at context creation and the
-        // registry never removes entries, so the lookup cannot fail.
-        let strategy = ctx.reduction(method.tag()).unwrap_or_else(|| {
-            unreachable!("built-in reduction strategy missing from the context registry")
-        });
-        Self::build(sss, ctx, method, strategy, format)
-    }
-
-    /// Builds the kernel with a reduction strategy selected from the
-    /// context's registry by name — the route for strategies registered
-    /// beyond the three built-ins.
-    ///
-    /// Returns `None` when no strategy of that name is registered.
-    pub fn from_sss_named(
-        sss: SssMatrix,
-        ctx: &Arc<ExecutionContext>,
-        strategy_name: &str,
-        format: SymFormat,
-    ) -> Option<Self> {
-        let strategy = ctx.reduction(strategy_name)?;
-        // Classify the custom strategy into the nearest paper family so
-        // `method()` keeps reporting something meaningful.
-        let method = if strategy.scheduled() {
-            ReductionMethod::Race
-        } else if !strategy.direct_write() {
-            ReductionMethod::Naive
-        } else if strategy.needs_index() {
-            ReductionMethod::Indexing
-        } else {
-            ReductionMethod::EffectiveRanges
-        };
-        Some(Self::build(sss, ctx, method, strategy, format))
-    }
-
-    /// Like [`SymSpmv::from_sss_named`], but an unregistered strategy name
-    /// is reported as [`SymSpmvError::UnknownStrategy`] instead of `None` —
-    /// for callers resolving user-supplied names.
-    pub fn try_from_sss_named(
-        sss: SssMatrix,
-        ctx: &Arc<ExecutionContext>,
-        strategy_name: &str,
-        format: SymFormat,
-    ) -> Result<Self, SymSpmvError> {
-        Self::from_sss_named(sss, ctx, strategy_name, format).ok_or_else(|| {
-            SymSpmvError::UnknownStrategy {
-                name: strategy_name.to_string(),
-            }
-        })
-    }
-
-    fn build(
-        sss: SssMatrix,
-        ctx: &Arc<ExecutionContext>,
-        method: ReductionMethod,
-        strategy: Arc<dyn ReductionStrategy>,
-        format: SymFormat,
-    ) -> Self {
+        let strategy = method.strategy();
         let n = sss.n() as usize;
         let kind = sss.kind();
         assert!(
@@ -262,7 +215,7 @@ impl SymSpmv {
         // (matrix, nthreads, strategy) reuses it wholesale and the
         // preprocess phase records (almost) nothing.
         let plan = time_into(&mut times.preprocess, || {
-            CachedSymPlan::obtain(&sss, ctx, &strategy)
+            CachedSymPlan::obtain(&sss, ctx, strategy)
         });
         let parts = Arc::clone(&plan.parts);
 
@@ -334,7 +287,6 @@ impl SymSpmv {
             nnz_full,
             kind,
             method,
-            strategy,
             storage,
             plan,
             block_certs: std::collections::HashMap::new(),
@@ -396,15 +348,9 @@ impl SymSpmv {
         self.kind
     }
 
-    /// The reduction method in use (the paper family; custom registry
-    /// strategies report their nearest built-in).
+    /// The reduction method in use.
     pub fn method(&self) -> ReductionMethod {
         self.method
-    }
-
-    /// The reduction strategy driving the fold phase.
-    pub fn strategy(&self) -> &Arc<dyn ReductionStrategy> {
-        &self.strategy
     }
 
     /// Number of color groups of a scheduled (race) plan; `None` for the
@@ -471,7 +417,7 @@ impl SymSpmv {
         let parts: &[Range] = &self.plan.parts;
         let offsets = &self.plan.offsets;
         let n = self.n;
-        let direct = self.strategy.direct_write();
+        let direct = self.method.strategy().direct_write();
         match &self.storage {
             Storage::Hybrid {
                 sss,
@@ -614,7 +560,8 @@ impl SymSpmv {
             splits: &self.plan.index.splits,
             lanes,
         };
-        self.ctx.with_pool(|pool| self.strategy.reduce(pool, &job));
+        self.ctx
+            .with_pool(|pool| self.method.strategy().reduce(pool, &job));
     }
 
     /// The batched multiply phase: identical dispatch structure to
@@ -645,7 +592,7 @@ impl SymSpmv {
         let parts: &[Range] = &self.plan.parts;
         let offsets = &self.plan.offsets;
         let n = self.n;
-        let direct = self.strategy.direct_write();
+        let direct = self.method.strategy().direct_write();
         match &self.storage {
             Storage::Hybrid {
                 sss,
@@ -918,7 +865,7 @@ impl SymSpmv {
         if self.plan.local_len == 0 {
             return false;
         }
-        !(self.strategy.needs_index() && self.plan.index.entries.is_empty())
+        !(self.method.strategy().needs_index() && self.plan.index.entries.is_empty())
     }
 }
 
@@ -1087,7 +1034,7 @@ impl ParallelSpmv for SymSpmv {
             Storage::CsxSym(_) => "csxsym",
             Storage::Hybrid { .. } => "hybrid",
         };
-        match (fmt, self.strategy.name()) {
+        match (fmt, self.method.tag()) {
             ("sss", "naive") => Cow::Borrowed("sss-naive"),
             ("sss", "eff") => Cow::Borrowed("sss-eff"),
             ("sss", "idx") => Cow::Borrowed("sss-idx"),
@@ -1097,7 +1044,7 @@ impl ParallelSpmv for SymSpmv {
             ("csxsym", "idx") => Cow::Borrowed("csxsym-idx"),
             ("hybrid", "eff") => Cow::Borrowed("hybrid-eff"),
             ("hybrid", "idx") => Cow::Borrowed("hybrid-idx"),
-            (fmt, tag) => Cow::Owned(format!("{fmt}-{tag}")),
+            (fmt, tag) => unreachable!("{fmt}-{tag} is rejected at construction"),
         }
     }
 
@@ -1431,45 +1378,15 @@ mod tests {
     }
 
     #[test]
-    fn strategies_resolved_from_registry() {
-        // A custom strategy registered with the context is reachable by
-        // name and drives the kernel end to end.
-        struct Renamed(symspmv_runtime::reduction::NaiveReduction);
-        impl ReductionStrategy for Renamed {
-            fn name(&self) -> &'static str {
-                "naive-v2"
-            }
-            fn direct_write(&self) -> bool {
-                self.0.direct_write()
-            }
-            fn layout(&self, n: usize, parts: &[Range]) -> symspmv_runtime::reduction::LocalLayout {
-                self.0.layout(n, parts)
-            }
-            fn reduce(&self, pool: &mut symspmv_runtime::WorkerPool, job: &ReduceJob<'_>) {
-                self.0.reduce(pool, job)
-            }
+    fn every_method_resolves_to_its_strategy() {
+        use ReductionMethod::*;
+        for m in [Naive, EffectiveRanges, Indexing, Race] {
+            let s = m.strategy();
+            assert_eq!(s.name(), m.tag());
+            assert_eq!(s.direct_write(), m != Naive, "{m:?}");
+            assert_eq!(s.needs_index(), m == Indexing, "{m:?}");
+            assert_eq!(s.scheduled(), m == Race, "{m:?}");
         }
-
-        let coo = symspmv_sparse::gen::banded_random(200, 12, 6.0, 11);
-        let sss = SssMatrix::from_coo(&coo, 0.0).unwrap();
-        let x = seeded_vector(200, 3);
-        let mut y_ref = vec![0.0; 200];
-        sss.spmv(&x, &mut y_ref);
-
-        let ctx = ExecutionContext::new(3);
-        assert!(
-            SymSpmv::from_sss_named(sss.clone(), &ctx, "naive-v2", SymFormat::Sss).is_none(),
-            "unregistered names must be rejected"
-        );
-        ctx.register_reduction(Arc::new(Renamed(
-            symspmv_runtime::reduction::NaiveReduction,
-        )));
-        let mut eng = SymSpmv::from_sss_named(sss, &ctx, "naive-v2", SymFormat::Sss).unwrap();
-        assert_eq!(eng.name(), "sss-naive-v2");
-        assert_eq!(eng.method(), ReductionMethod::Naive);
-        let mut y = vec![0.0; 200];
-        eng.spmv(&x, &mut y);
-        assert_vec_close(&y, &y_ref, 1e-12);
     }
 }
 
@@ -1514,26 +1431,6 @@ mod error_taxonomy_tests {
             SymFormat::Sss,
         ));
         assert!(matches!(err, SymSpmvError::InvalidStructure(_)), "{err:?}");
-    }
-
-    #[test]
-    fn try_from_sss_named_reports_unknown_strategy() {
-        let coo = symspmv_sparse::gen::laplacian_2d(6, 6);
-        let sss = SssMatrix::from_coo(&coo, 0.0).unwrap();
-        let ctx = ExecutionContext::new(2);
-        let err = expect_err(SymSpmv::try_from_sss_named(
-            sss.clone(),
-            &ctx,
-            "no-such",
-            SymFormat::Sss,
-        ));
-        assert_eq!(
-            err,
-            SymSpmvError::UnknownStrategy {
-                name: "no-such".into()
-            }
-        );
-        assert!(SymSpmv::try_from_sss_named(sss, &ctx, "idx", SymFormat::Sss).is_ok());
     }
 
     #[test]

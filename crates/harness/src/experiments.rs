@@ -474,7 +474,9 @@ pub fn fig10(cfg: &ExpConfig) -> Result<(), HarnessError> {
 /// count (barriers per spmv), both kernels' times, and the `sss-idx`
 /// reduce share the schedule eliminates. `sss-race` runs all threads
 /// directly on `y` — no local vectors, no reduction phase — at the cost
-/// of one barrier per color group.
+/// of one barrier per color group. The idx reduce share bounds what any
+/// reduction-free schedule could save, so the summary line reports it
+/// next to the race/idx verdict.
 pub fn colors(cfg: &ExpConfig) -> Result<(), HarnessError> {
     println!(
         "== Colors: reduction-free sss-race vs sss-idx at {} threads ==\n",
@@ -489,6 +491,7 @@ pub fn colors(cfg: &ExpConfig) -> Result<(), HarnessError> {
         "race/idx",
     ]);
     let ctx = ExecutionContext::new(cfg.max_threads);
+    let (mut matrices, mut race_slower, mut max_share) = (0usize, 0usize, 0.0f64);
     for m in cfg.suite() {
         let mut race = SymSpmv::from_coo(&m.coo, &ctx, ReductionMethod::Race, SymFormat::Sss)
             .map_err(|e| HarnessError::matrix("SSS race kernel", m.spec.name, e))?;
@@ -501,19 +504,24 @@ pub fn colors(cfg: &ExpConfig) -> Result<(), HarnessError> {
         let idx_ms = mi.wall.as_secs_f64() * 1e3;
         let mult = mi.times.multiply.as_secs_f64();
         let red = mi.times.reduce.as_secs_f64();
+        let share = red / (mult + red).max(1e-12);
+        matrices += 1;
+        race_slower += usize::from(race_ms > idx_ms);
+        max_share = max_share.max(share);
         t.row(vec![
             m.spec.name.into(),
             groups.to_string(),
             f(race_ms, 2),
             f(idx_ms, 2),
-            pct(red / (mult + red).max(1e-12)),
+            pct(share),
             f(race_ms / idx_ms.max(1e-12), 2),
         ]);
     }
     cfg.emit("colors", &t)?;
     println!(
-        "(RACE-style level coloring: direct writes, zero locals — wins where \
-         sss-idx's reduction phase dominates)\n"
+        "(sss-race slower than sss-idx on {race_slower} of {matrices} matrices; a \
+         reduction-free schedule can save at most idx's reduce share, {} here)\n",
+        pct(max_share)
     );
     Ok(())
 }
@@ -893,7 +901,7 @@ pub fn related(cfg: &ExpConfig) -> Result<(), HarnessError> {
         t.row(row);
     }
     cfg.emit("related", &t)?;
-    println!("(paper §VI: CSB-sym's atomics bind on high-bandwidth matrices;\n the colorful method never beat local vectors)\n");
+    println!("(paper §VI: CSB-sym's atomics bind on high-bandwidth matrices;\n the colorful method never beat local vectors, so it is not in the lineup)\n");
     Ok(())
 }
 
@@ -1012,7 +1020,6 @@ pub fn verify(cfg: &ExpConfig) -> Result<(), HarnessError> {
         "sss-idx",
         "sss-race",
         "sss-atomic",
-        "sss-color",
         "csxsym-naive",
         "csxsym-eff",
         "csxsym-idx",

@@ -28,8 +28,6 @@ pub enum KernelSpec {
     CsbSym,
     /// Auto-tuned register-blocked BCSR (related work: SPARSITY/OSKI).
     Bcsr,
-    /// The "colorful" conflict-free coloring method (related work, ref. 7).
-    SssColor,
     /// Adaptive per-chunk CSX-Sym/SSS hybrid with a given reduction method
     /// (extension; coverage threshold 0.5).
     Hybrid(ReductionMethod),
@@ -53,7 +51,6 @@ impl KernelSpec {
             KernelSpec::SssAtomic => "sss-atomic",
             KernelSpec::Csb => "csb",
             KernelSpec::Bcsr => "bcsr",
-            KernelSpec::SssColor => "sss-color",
             KernelSpec::Hybrid(Naive) => "hybrid-naive",
             KernelSpec::Hybrid(Eff) => "hybrid-eff",
             KernelSpec::Hybrid(Idx) => "hybrid-idx",
@@ -82,7 +79,6 @@ impl KernelSpec {
             "sss-atomic" => Some(KernelSpec::SssAtomic),
             "csb" => Some(KernelSpec::Csb),
             "bcsr" => Some(KernelSpec::Bcsr),
-            "sss-color" => Some(KernelSpec::SssColor),
             "csb-sym" => Some(KernelSpec::CsbSym),
             _ => {
                 if let Some(tag) = s.strip_prefix("sss-") {
@@ -120,7 +116,6 @@ impl KernelSpec {
             KernelSpec::Csb,
             KernelSpec::CsbSym,
             KernelSpec::SssAtomic,
-            KernelSpec::SssColor,
         ]
     }
 
@@ -180,9 +175,6 @@ pub fn build_kernel_kind(
         )?),
         KernelSpec::Csb => Box::new(symspmv_core::CsbParallel::from_coo(coo, ctx)),
         KernelSpec::Bcsr => Box::new(symspmv_core::BcsrParallel::from_coo(coo, ctx)),
-        KernelSpec::SssColor => Box::new(symspmv_core::SssColorParallel::from_coo_kind(
-            coo, kind, ctx,
-        )?),
         KernelSpec::Hybrid(m) => Box::new(SymSpmv::from_coo_kind(
             coo,
             kind,
@@ -218,7 +210,6 @@ mod tests {
             KernelSpec::Csb,
             KernelSpec::CsbSym,
             KernelSpec::Bcsr,
-            KernelSpec::SssColor,
         ] {
             assert_eq!(KernelSpec::parse(spec.name()), Some(spec));
         }

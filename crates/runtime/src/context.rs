@@ -9,23 +9,16 @@
 //! * the **worker pool** — created once, borrowed by every kernel;
 //! * the **buffer arena** — recycled, first-touch-initialized `f64`
 //!   buffers for local output vectors and solver scratch;
-//! * the **phase-time ledger** — a cross-kernel [`PhaseTimes`] accumulator;
-//!
-//! plus a registry of named [`ReductionStrategy`] objects so the symmetric
-//! kernels select their reduction (naive / effective-ranges / indexing) by
-//! name instead of hard-coding the three variants.
+//! * the **phase-time ledger** — a cross-kernel [`PhaseTimes`] accumulator.
 
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 #[cfg(any(test, feature = "fault-injection"))]
 use crate::fault::FaultPlan;
 use crate::pool::{WorkerPanic, WorkerPanicInfo, WorkerPool};
-use crate::reduction::{
-    EffectiveRangesReduction, IndexingReduction, NaiveReduction, RaceReduction, ReductionStrategy,
-};
 use crate::supervisor::{HealthState, PoolHealth, Supervision, SupervisionCell};
 use crate::timing::PhaseTimes;
 
@@ -224,8 +217,7 @@ impl PlanCache {
     }
 }
 
-/// The shared runtime layer: one pool, one arena, one ledger, and the
-/// reduction-strategy registry.
+/// The shared runtime layer: one pool, one arena, one ledger.
 ///
 /// Constructed once per run with [`ExecutionContext::new`] and passed to
 /// every kernel as `Arc<ExecutionContext>`; interior mutability (mutexes)
@@ -236,7 +228,6 @@ pub struct ExecutionContext {
     pool: Mutex<WorkerPool>,
     arena: Mutex<BufferArena>,
     ledger: Mutex<PhaseTimes>,
-    strategies: RwLock<HashMap<&'static str, Arc<dyn ReductionStrategy>>>,
     /// Leases returned holding non-zero data on the normal (non-panicking,
     /// non-scratch) path. Each one is a broken lease contract; the drop
     /// path heals the buffer (re-zeroes it) and counts it here.
@@ -258,9 +249,7 @@ pub struct ExecutionContext {
 }
 
 impl ExecutionContext {
-    /// Creates a context with its single `nthreads`-worker pool and the
-    /// three paper reduction strategies pre-registered (`"naive"`, `"eff"`,
-    /// `"idx"`).
+    /// Creates a context with its single `nthreads`-worker pool.
     ///
     /// Panics if `nthreads == 0`.
     pub fn new(nthreads: usize) -> Arc<Self> {
@@ -272,12 +261,11 @@ impl ExecutionContext {
         pool.set_fault_plan(Arc::clone(&fault));
         let supervision = pool.supervision_cell();
         let health = pool.health_state();
-        let ctx = ExecutionContext {
+        Arc::new(ExecutionContext {
             nthreads,
             pool: Mutex::new(pool),
             arena: Mutex::new(BufferArena::default()),
             ledger: Mutex::new(PhaseTimes::new()),
-            strategies: RwLock::new(HashMap::new()),
             dirty_returns: AtomicUsize::new(0),
             plans: Mutex::new(PlanCache::default()),
             plan_hits: AtomicUsize::new(0),
@@ -286,12 +274,7 @@ impl ExecutionContext {
             health,
             #[cfg(any(test, feature = "fault-injection"))]
             fault,
-        };
-        ctx.register_reduction(Arc::new(NaiveReduction));
-        ctx.register_reduction(Arc::new(EffectiveRangesReduction));
-        ctx.register_reduction(Arc::new(IndexingReduction));
-        ctx.register_reduction(Arc::new(RaceReduction));
-        Arc::new(ctx)
+        })
     }
 
     /// Number of workers in the shared pool.
@@ -592,37 +575,6 @@ impl ExecutionContext {
     pub fn reset_ledger(&self) {
         *lock_ignore_poison(&self.ledger) = PhaseTimes::new();
     }
-
-    /// Registers (or replaces) a reduction strategy under its own name.
-    pub fn register_reduction(&self, strategy: Arc<dyn ReductionStrategy>) {
-        self.strategies
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(strategy.name(), strategy);
-    }
-
-    /// Looks up a reduction strategy by name (`"naive"`, `"eff"`, `"idx"`,
-    /// or anything registered later).
-    pub fn reduction(&self, name: &str) -> Option<Arc<dyn ReductionStrategy>> {
-        self.strategies
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(name)
-            .cloned()
-    }
-
-    /// Names of all registered reduction strategies, sorted.
-    pub fn reduction_names(&self) -> Vec<&'static str> {
-        let mut names: Vec<&'static str> = self
-            .strategies
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .keys()
-            .copied()
-            .collect();
-        names.sort_unstable();
-        names
-    }
 }
 
 /// RAII guard for installed supervision: clears the context's supervision
@@ -772,18 +724,6 @@ mod tests {
         let lease = ctx.lease(1000);
         assert_eq!(lease.len(), 1000);
         assert!(lease.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn builtin_strategies_registered() {
-        let ctx = ExecutionContext::new(1);
-        assert_eq!(ctx.reduction_names(), vec!["eff", "idx", "naive", "race"]);
-        assert!(ctx.reduction("idx").unwrap().needs_index());
-        assert!(ctx.reduction("race").unwrap().scheduled());
-        assert!(ctx.reduction("race").unwrap().direct_write());
-        assert!(!ctx.reduction("idx").unwrap().scheduled());
-        assert!(!ctx.reduction("naive").unwrap().direct_write());
-        assert!(ctx.reduction("nope").is_none());
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!   closure with distinct thread ids (SPMD style), with a blocking `run`;
 //! * [`context::ExecutionContext`] — the shared runtime layer: one pool,
 //!   one recycled first-touch buffer arena, one cross-kernel phase-time
-//!   ledger, and the [`reduction::ReductionStrategy`] registry;
+//!   ledger;
 //! * [`reduction`] — the three symmetric reduction strategies of Fig. 3
-//!   (naive / effective-ranges / local-vectors indexing) as trait objects;
+//!   (naive / effective-ranges / local-vectors indexing) plus the
+//!   reduction-free RACE schedule, behind [`reduction::ReductionStrategy`];
 //! * [`shared`] — the `SharedBuf` escape hatch for disjoint parallel writes;
 //! * [`partition`] — contiguous, weight-balanced row partitioning;
 //! * [`timing`] — phase timers for the multiplication/reduction breakdowns

@@ -15,10 +15,13 @@
 //!   `(vid, idx)` index enumerates the actually-conflicting elements and
 //!   the reduction touches only those (`ws ≈ 8(p−1)N·d`, Eq. 6).
 //!
-//! Strategies are registered with an
-//! [`ExecutionContext`](crate::ExecutionContext) by name, so kernels select
-//! them at construction time and new strategies (e.g. a coloring-based or
-//! NUMA-aware fold) plug in without touching any format code.
+//! * [`RaceReduction`] — RACE-style scheduling (Alappat et al.): the rows
+//!   run in distance-2-disjoint groups one barrier apart, so there are no
+//!   local vectors and nothing to fold.
+//!
+//! Each strategy is a unit struct; the symmetric kernel picks one at
+//! construction through `ReductionMethod::strategy` (in `symspmv-core`),
+//! and the format code reads only the trait, never the concrete type.
 
 use crate::partition::Range;
 use crate::pool::WorkerPool;
@@ -83,7 +86,8 @@ pub struct ReduceJob<'a> {
 /// responsible for **zeroed** after [`reduce`](ReductionStrategy::reduce)
 /// returns — the buffer arena's reuse contract depends on it.
 pub trait ReductionStrategy: Send + Sync {
-    /// Stable identifier used as the registry key (e.g. `"idx"`).
+    /// Stable identifier (e.g. `"idx"`), used in kernel names and plan
+    /// cache keys.
     fn name(&self) -> &'static str;
 
     /// Whether the multiply phase writes its own rows directly into `y`

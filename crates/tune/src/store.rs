@@ -75,46 +75,22 @@ fn io_err(what: &str, path: &Path, e: &std::io::Error) -> SymSpmvError {
     SymSpmvError::Parse(SparseError::Io(format!("{what} {}: {e}", path.display())))
 }
 
-fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, SymSpmvError> {
-    obj.get(key)
-        .ok_or_else(|| parse_err(format!("plan store entry is missing {key:?}")))
-}
+const INTEGER: &str = "a non-negative integer";
 
-fn num_field(obj: &Json, key: &str) -> Result<f64, SymSpmvError> {
-    match field(obj, key)? {
-        Json::Num(v) => Ok(*v),
-        other => Err(parse_err(format!(
-            "plan store field {key:?} must be a number, got {other:?}"
-        ))),
-    }
-}
-
-fn usize_field(obj: &Json, key: &str) -> Result<usize, SymSpmvError> {
-    let v = num_field(obj, key)?;
-    if v.fract() != 0.0 || v < 0.0 || v > usize::MAX as f64 {
-        return Err(parse_err(format!(
-            "plan store field {key:?} must be a non-negative integer, got {v}"
-        )));
-    }
-    Ok(v as usize)
-}
-
-fn str_field<'a>(obj: &'a Json, key: &str) -> Result<&'a str, SymSpmvError> {
-    match field(obj, key)? {
-        Json::Str(s) => Ok(s.as_str()),
-        other => Err(parse_err(format!(
-            "plan store field {key:?} must be a string, got {other:?}"
-        ))),
-    }
-}
-
-fn bool_field(obj: &Json, key: &str) -> Result<bool, SymSpmvError> {
-    match field(obj, key)? {
-        Json::Bool(b) => Ok(*b),
-        other => Err(parse_err(format!(
-            "plan store field {key:?} must be a boolean, got {other:?}"
-        ))),
-    }
+/// Reads field `key` of a store object through a `Json` accessor
+/// (`Json::as_str`, `Json::as_u64`, …); a missing or mistyped field is a
+/// parse error naming the field and the `expected` type.
+fn req<'a, T>(
+    obj: &'a Json,
+    key: &str,
+    expected: &str,
+    accessor: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<T, SymSpmvError> {
+    obj.get(key).and_then(accessor).ok_or_else(|| {
+        parse_err(format!(
+            "plan store field {key:?} is missing or not {expected}"
+        ))
+    })
 }
 
 fn fingerprint_to_json(fp: u64) -> Json {
@@ -160,17 +136,17 @@ fn entry_to_json(key: &StoreKey, plan: &TunedPlan) -> Json {
 
 fn entry_from_json(obj: &Json) -> Result<(StoreKey, TunedPlan), SymSpmvError> {
     let key = StoreKey {
-        fingerprint: fingerprint_from_str(str_field(obj, "fingerprint")?)?,
-        ncpus: usize_field(obj, "ncpus")?,
-        machine: str_field(obj, "machine")?.to_string(),
+        fingerprint: fingerprint_from_str(req(obj, "fingerprint", "a string", Json::as_str)?)?,
+        ncpus: req(obj, "ncpus", INTEGER, Json::as_u64)? as usize,
+        machine: req(obj, "machine", "a string", Json::as_str)?.to_string(),
     };
-    let format = FormatTag::parse(str_field(obj, "format")?)
+    let format = FormatTag::parse(req(obj, "format", "a string", Json::as_str)?)
         .ok_or_else(|| parse_err("unknown format tag in plan store".to_string()))?;
     let spec = PlanSpec {
         format,
-        method: method_from_tag(str_field(obj, "method")?)?,
-        nthreads: usize_field(obj, "nthreads")?,
-        lanes: usize_field(obj, "lanes")?,
+        method: method_from_tag(req(obj, "method", "a string", Json::as_str)?)?,
+        nthreads: req(obj, "nthreads", INTEGER, Json::as_u64)? as usize,
+        lanes: req(obj, "lanes", INTEGER, Json::as_u64)? as usize,
     };
     if !spec.is_valid() {
         return Err(parse_err(format!(
@@ -180,10 +156,13 @@ fn entry_from_json(obj: &Json) -> Result<(StoreKey, TunedPlan), SymSpmvError> {
     }
     let plan = TunedPlan {
         spec,
-        predicted_bytes: num_field(obj, "predicted_bytes")?,
-        measured_secs: num_field(obj, "measured_secs")?,
-        candidates_measured: usize_field(obj, "candidates_measured")?,
-        certified: bool_field(obj, "certified")?,
+        predicted_bytes: req(obj, "predicted_bytes", "a number", Json::as_f64)?,
+        measured_secs: req(obj, "measured_secs", "a number", Json::as_f64)?,
+        candidates_measured: req(obj, "candidates_measured", INTEGER, Json::as_u64)? as usize,
+        certified: req(obj, "certified", "a boolean", |v| match v {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        })?,
     };
     Ok((key, plan))
 }
@@ -233,21 +212,14 @@ impl PlanStore {
         };
         let doc =
             Json::parse(&text).map_err(|e| parse_err(format!("corrupt plan store JSON: {e}")))?;
-        let version = num_field(&doc, "version")?;
+        let version = req(&doc, "version", "a number", Json::as_f64)?;
         if version != PLAN_STORE_VERSION as f64 {
             // A future (or ancient) schema: ignore rather than guess. The
             // next save rewrites the file at the current version.
             store.version_mismatch = true;
             return Ok(store);
         }
-        let entries = match field(&doc, "plans")? {
-            Json::Arr(a) => a,
-            other => {
-                return Err(parse_err(format!(
-                    "plan store \"plans\" must be an array, got {other:?}"
-                )))
-            }
-        };
+        let entries = req(&doc, "plans", "an array", Json::as_arr)?;
         for entry in entries {
             let (key, plan) = entry_from_json(entry)?;
             store.plans.push((key, plan));
@@ -360,5 +332,58 @@ impl PlanAdvisor for PlanStore {
     fn lookup(&self, fingerprint: u64, nthreads: usize) -> Option<PlanSpec> {
         let plan = self.get(fingerprint)?;
         (plan.spec.nthreads == nthreads).then_some(plan.spec)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn entry() -> Json {
+        let key = StoreKey {
+            fingerprint: 7,
+            ncpus: 2,
+            machine: "m".into(),
+        };
+        let plan = TunedPlan {
+            spec: PlanSpec {
+                format: FormatTag::Sss,
+                method: ReductionMethod::Indexing,
+                nthreads: 2,
+                lanes: 1,
+            },
+            predicted_bytes: 1.0,
+            measured_secs: 1.0,
+            candidates_measured: 3,
+            certified: true,
+        };
+        entry_to_json(&key, &plan)
+    }
+
+    fn with(key: &str, value: Option<Json>) -> Json {
+        let Json::Obj(mut fields) = entry() else {
+            unreachable!()
+        };
+        fields.retain(|(k, _)| k != key);
+        fields.extend(value.map(|v| (key.to_string(), v)));
+        Json::Obj(fields)
+    }
+
+    #[test]
+    fn entry_fields_reject_fractional_negative_missing_and_mistyped() {
+        assert!(entry_from_json(&entry()).is_ok());
+        for bad in [
+            with("nthreads", Some(Json::Num(1.5))),
+            with("lanes", Some(Json::Num(-1.0))),
+            with("candidates_measured", None),
+            with("certified", Some(Json::Str("yes".into()))),
+            with("machine", Some(Json::Num(1.0))),
+            with("measured_secs", Some(Json::Null)),
+        ] {
+            assert!(
+                matches!(entry_from_json(&bad), Err(SymSpmvError::Parse(_))),
+                "{bad:?}"
+            );
+        }
     }
 }

@@ -52,14 +52,8 @@ pub const KNOWN_INVARIANTS: &[(&str, &str)] = &[
     ),
     (
         "color-class",
-        "coloring verifier: rows of one class have pairwise disjoint write \
+        "RACE verifier: rows of one group have pairwise disjoint write \
          sets (RaceCertificate invariant)",
-    ),
-    (
-        "coloring-disjoint",
-        "symbolic certifier: cyclic-coloring spacing theorem — same-class \
-         rows are one stride apart, write windows reach at most the \
-         bandwidth back (ProofForm::ColoringDisjoint)",
     ),
     (
         "csx-boundary",

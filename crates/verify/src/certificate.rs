@@ -22,8 +22,8 @@ use crate::jsonio::Json;
 /// differential suite pins the symbolic certifier bit-for-bit against the
 /// enumerative one — but the form records which argument was run, so a
 /// cached certificate can say whether re-validation costs `O(nnz)` or
-/// `O(p)`, and so coloring certificates can carry the symbolic spacing
-/// theorem their scheduler needs.
+/// `O(p)`, and so RACE schedule certificates can say which coloring they
+/// rest on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProofForm {
     /// Exhaustive write-set enumeration (`crate::writeset`), `O(nnz)`.
@@ -32,13 +32,13 @@ pub enum ProofForm {
     /// Interval/congruence abstract interpretation (`crate::symbolic`),
     /// `O(p + c)`.
     Symbolic,
-    /// The cyclic-coloring spacing theorem: same-class rows are `stride`
-    /// apart and every write window reaches at most `reach` rows back, so
-    /// `stride > reach` proves each class barrier-free.
+    /// A RACE group schedule: the rows of every group have pairwise
+    /// disjoint write sets, so each group runs as one barrier-free round.
     ColoringDisjoint {
-        /// The coloring stride (number of color classes).
+        /// Number of groups (barriered rounds) in the schedule.
         stride: u32,
-        /// The matrix bandwidth the spacing argument was checked against.
+        /// Distance of the coloring (2: rows of one group share no write
+        /// target).
         reach: u32,
     },
 }
@@ -83,7 +83,7 @@ pub struct RaceCertificate {
     pub n: usize,
     /// Thread count the plan partitions for.
     pub nthreads: usize,
-    /// Kernel family (`"sym-sss"`, `"sym-color"`, `"csx-sym"`, `"rows"`…).
+    /// Kernel family (`"sym-sss"`, `"csx-sym"`, `"rows"`…).
     pub family: String,
     /// Reduction strategy tag (`"naive"`, `"eff"`, `"idx"`; empty when the
     /// family has no strategy dimension).
@@ -393,7 +393,7 @@ mod tests {
             })
         ));
         assert!(matches!(
-            cert.validate_for(cert.fingerprint, 4, "sym-color", "idx"),
+            cert.validate_for(cert.fingerprint, 4, "sym-csx", "idx"),
             Err(VerifyError::StaleCertificate {
                 field: "family",
                 ..

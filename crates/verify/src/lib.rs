@@ -7,7 +7,7 @@
 //! local-vectors method gives every thread a private landing zone for
 //! transposed writes, and the reduction phase re-partitions the fold so no
 //! output element is touched twice (§III). This crate turns that
-//! construction argument into a machine-checked artifact, in three layers:
+//! construction argument into a machine-checked artifact, in four layers:
 //!
 //! 1. **Plan-time write-set verifier** ([`writeset`], [`csx_check`]) —
 //!    computes each thread's exact write footprint per phase from the
@@ -25,12 +25,8 @@
 //!    structure axioms in `O(p + c)` instead of `O(nnz)`, pinned
 //!    bit-for-bit against the enumerative checker by a differential
 //!    suite, and adds the [`certificate::ProofForm::ColoringDisjoint`]
-//!    spacing proof for cyclic colorings.
-//! 4. **Shadow-memory race detector** (`symspmv-runtime`'s `race` module,
-//!    behind the `race-detector` feature) — dynamic cross-validation: the
-//!    same corrupted plans the verifier rejects must also produce observed
-//!    write-write collisions when actually dispatched.
-//! 5. **Multi-rule lint engine** ([`rules`], [`audit`]) — token-level
+//!    proof for RACE group schedules.
+//! 4. **Multi-rule lint engine** ([`rules`], [`audit`]) — token-level
 //!    static checks over the workspace source: every `unsafe` block must
 //!    carry a `SAFETY(cert: <invariant>)` comment naming an invariant the
 //!    verifier establishes ([`audit::KNOWN_INVARIANTS`]), every pool-round
@@ -52,10 +48,9 @@ pub use csx_check::{certify_csx_chunk, certify_csx_chunks};
 pub use error::VerifyError;
 pub use rules::{default_rules, run_rules, Finding, LintRule};
 pub use symbolic::{
-    certify_color_symbolic, certify_race_symbolic, certify_rows_symbolic, certify_sym_symbolic,
-    lift_symbolic, stride_classes, ColoringFacts, StructureFacts,
+    certify_race_symbolic, certify_rows_symbolic, certify_sym_symbolic, lift_symbolic,
+    ColoringFacts, StructureFacts,
 };
 pub use writeset::{
-    certify_color, certify_race, certify_rows, certify_sym, lift_sym_certificate, SymPlanRef,
-    SymStrategyKind,
+    certify_race, certify_rows, certify_sym, lift_sym_certificate, SymPlanRef, SymStrategyKind,
 };

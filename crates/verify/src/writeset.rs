@@ -44,7 +44,8 @@ pub enum SymStrategyKind {
 }
 
 impl SymStrategyKind {
-    /// Maps a reduction-strategy registry tag to its family.
+    /// Maps a reduction-strategy tag (`ReductionStrategy::name`) to its
+    /// family.
     pub fn from_tag(tag: &str) -> Option<Self> {
         match tag {
             "naive" => Some(SymStrategyKind::Naive),
@@ -496,74 +497,6 @@ pub fn certify_rows(
     })
 }
 
-/// Certifies a greedy coloring for `SssColorParallel`: the classes must
-/// partition the rows, and no two rows of one class may share a write
-/// target (`{r} ∪ cols(r)` pairwise disjoint within the class) — RACE's
-/// condition for running a class as one barrier-free parallel round.
-pub fn certify_color(
-    sss: &SssMatrix,
-    classes: &[Vec<u32>],
-) -> Result<RaceCertificate, VerifyError> {
-    let n = sss.n() as usize;
-    let mut owner_class = vec![u32::MAX; n];
-    for (color, rows) in classes.iter().enumerate() {
-        for &r in rows {
-            if (r as usize) >= n {
-                return Err(VerifyError::MalformedPlan {
-                    reason: format!("class {color} names row {r} of {n}"),
-                });
-            }
-            if owner_class[r as usize] != u32::MAX {
-                return Err(VerifyError::MalformedPlan {
-                    reason: format!("row {r} in classes {} and {color}", owner_class[r as usize]),
-                });
-            }
-            owner_class[r as usize] = color as u32;
-        }
-    }
-    if let Some(r) = owner_class.iter().position(|&c| c == u32::MAX) {
-        return Err(VerifyError::MalformedPlan {
-            reason: format!("row {r} belongs to no color class"),
-        });
-    }
-
-    // Per class: stamp each write target with the row that claimed it.
-    let mut claimed_by = vec![u32::MAX; n];
-    let mut epoch = vec![u32::MAX; n];
-    for (color, rows) in classes.iter().enumerate() {
-        for &r in rows {
-            let (cols, _) = sss.row(r);
-            for target in cols.iter().copied().chain(std::iter::once(r)) {
-                let t = target as usize;
-                if epoch[t] == color as u32 && claimed_by[t] != r {
-                    return Err(VerifyError::ColoringConflict {
-                        color: color as u32,
-                        row_a: claimed_by[t],
-                        row_b: r,
-                        target,
-                    });
-                }
-                epoch[t] = color as u32;
-                claimed_by[t] = r;
-            }
-        }
-    }
-    Ok(RaceCertificate {
-        fingerprint: sss.fingerprint(),
-        n,
-        nthreads: 0,
-        family: "sym-color".to_string(),
-        strategy: String::new(),
-        symmetry: sss.kind().tag().to_string(),
-        invariants: vec!["color-class".to_string(), "disjoint-direct".to_string()],
-        direct_rows: n,
-        local_elems: 0,
-        conflict_entries: classes.len(),
-        lanes: 1,
-        proof: ProofForm::Enumerative,
-    })
-}
-
 /// Certifies a RACE schedule for the reduction-free symmetric kernel by
 /// exhaustive write-set enumeration: the groups must partition the rows, no
 /// two rows of one group may share a write target (`{r} ∪ cols(r)` pairwise
@@ -822,18 +755,31 @@ mod tests {
     #[test]
     fn coloring_conflicts_detected() {
         let m = sss(&[(1, 0), (2, 1)], 3);
-        // Rows 0 and 1 couple; same class → conflict on target 0 (or 1).
-        let err = certify_color(&m, &[vec![0, 1], vec![2]]).unwrap_err();
+        // One thread: each group's single part spans its whole row list.
+        let race = |groups: &[Vec<u32>]| {
+            let parts: Vec<Vec<Range>> = groups
+                .iter()
+                .map(|g| {
+                    vec![Range {
+                        start: 0,
+                        end: g.len() as u32,
+                    }]
+                })
+                .collect();
+            certify_race(&m, groups, &parts, 1)
+        };
+        // Rows 0 and 1 couple; same group → conflict on target 0 (or 1).
+        let err = race(&[vec![0, 1], vec![2]]).unwrap_err();
         assert!(
             matches!(err, VerifyError::ColoringConflict { .. }),
             "{err:?}"
         );
-        // Proper coloring passes.
-        let cert = certify_color(&m, &[vec![0, 2], vec![1]]).unwrap();
+        // A proper grouping passes.
+        let cert = race(&[vec![0, 2], vec![1]]).unwrap();
         assert!(cert.proves("color-class"));
-        // A row in no class is malformed, not a race.
+        // A row in no group is malformed, not a race.
         assert!(matches!(
-            certify_color(&m, &[vec![0], vec![1]]),
+            race(&[vec![0], vec![1]]),
             Err(VerifyError::MalformedPlan { .. })
         ));
     }

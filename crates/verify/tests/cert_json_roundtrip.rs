@@ -31,7 +31,7 @@ impl Rng {
 }
 
 fn arbitrary_certificate(rng: &mut Rng) -> RaceCertificate {
-    let families = ["sym-sss", "sym-csx", "sym-hybrid", "csr", "sym-color"];
+    let families = ["sym-sss", "sym-csx", "sym-hybrid", "csr"];
     let strategies = ["", "naive", "eff", "idx"];
     let symmetries = ["none", "symmetric", "skew", "structural"];
     let invariant_pool = [
@@ -42,7 +42,6 @@ fn arbitrary_certificate(rng: &mut Rng) -> RaceCertificate {
         "skew-zero-diagonal",
         "structural-paired",
         "color-class",
-        "coloring-disjoint",
         "csx-boundary",
     ];
     let n = rng.below(1 << 20) as usize + 1;

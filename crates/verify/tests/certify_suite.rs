@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 use symspmv_core::csx_sym::CsxSymMatrix;
-use symspmv_core::{sym_color, symbolic};
+use symspmv_core::symbolic;
 use symspmv_csx::DetectConfig;
 use symspmv_runtime::reduction::{
     EffectiveRangesReduction, IndexingReduction, NaiveReduction, ReductionStrategy,
@@ -13,7 +13,7 @@ use symspmv_runtime::reduction::{
 use symspmv_runtime::{balanced_ranges, partition::symmetric_row_weights, Range};
 use symspmv_sparse::suite::generate_suite;
 use symspmv_sparse::SssMatrix;
-use symspmv_verify::{certify_color, certify_csx_chunks, certify_sym, SymPlanRef, SymStrategyKind};
+use symspmv_verify::{certify_csx_chunks, certify_sym, SymPlanRef, SymStrategyKind};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -94,17 +94,10 @@ fn whole_suite_certifies_across_all_configurations() {
             assert!(cert.proves("csx-boundary"));
             certificates += 1;
         }
-
-        // sym-color: partition-independent, once per matrix.
-        let coloring = sym_color::color_rows(&sss);
-        let cert = certify_color(&sss, &coloring.classes)
-            .unwrap_or_else(|e| panic!("{} coloring rejected: {e}", m.spec.name));
-        assert!(cert.proves("color-class"));
-        certificates += 1;
     }
 
-    // 12 matrices × 4 thread counts × (3 strategies + csx) + 12 colorings.
-    assert_eq!(certificates, 12 * 4 * 4 + 12);
+    // 12 matrices × 4 thread counts × (3 strategies + csx).
+    assert_eq!(certificates, 12 * 4 * 4);
 }
 
 /// Single-thread plans declare an empty conflict region for the

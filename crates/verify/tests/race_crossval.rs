@@ -9,13 +9,16 @@
 #![cfg(feature = "race-detector")]
 
 use std::sync::Arc;
-use symspmv_core::symbolic;
+use symspmv_core::plan::CachedSymPlan;
+use symspmv_core::{symbolic, ReductionMethod};
 use symspmv_runtime::race::{detector_guard, disable, enable, take_reports};
 use symspmv_runtime::reduction::{IndexingReduction, ReductionStrategy};
 use symspmv_runtime::shared::SharedBuf;
-use symspmv_runtime::{balanced_ranges, partition::symmetric_row_weights, Range, WorkerPool};
+use symspmv_runtime::{
+    balanced_ranges, partition::symmetric_row_weights, ExecutionContext, Range, WorkerPool,
+};
 use symspmv_sparse::SssMatrix;
-use symspmv_verify::{certify_color, certify_sym, SymPlanRef, SymStrategyKind, VerifyError};
+use symspmv_verify::{certify_race, certify_sym, SymPlanRef, SymStrategyKind, VerifyError};
 
 fn matrix(n: u32) -> SssMatrix {
     let coo = symspmv_sparse::gen::banded_random(n, 12, 6.0, 17);
@@ -120,38 +123,47 @@ fn stolen_row_caught_by_both_layers() {
     assert!(!reports.is_empty(), "dynamic layer missed the stolen rows");
 }
 
-/// Dynamic mutation 3 — wrong color: two rows sharing a write target are
-/// forced into one class, then processed by different workers in the same
-/// round (the coloring kernel's dispatch shape).
+/// Dynamic mutation 3 — wrong color: a row of the RACE level coloring is
+/// moved into the group of a row it shares a write target with, then the
+/// two rows run on different workers in the same round (the race kernel's
+/// dispatch shape).
 #[test]
 fn wrong_color_caught_by_both_layers() {
     let _g = detector_guard();
     let sss = matrix(256);
-    let coloring = symspmv_core::sym_color::color_rows(&sss);
-    certify_color(&sss, &coloring.classes).expect("greedy coloring must certify");
+    let p = 2;
+    let plan = CachedSymPlan::obtain(
+        &sss,
+        &ExecutionContext::new(p),
+        ReductionMethod::Race.strategy(),
+    );
+    let schedule = plan.schedule.as_ref().expect("race plans carry a schedule");
+    certify_race(&sss, &schedule.groups, &schedule.group_parts, p)
+        .expect("level coloring must certify");
 
-    // Corrupt: move a row into the class of a row it is coupled to.
+    // Corrupt: move a row into the group of a row it is coupled to, and
+    // re-split the two touched groups so the rounds still tile them.
     let (victim, neighbor) = (0..sss.n())
         .find_map(|r| sss.row(r).0.first().map(|&c| (r, c)))
         .expect("banded matrix has off-diagonal entries");
-    let mut classes = coloring.classes.clone();
-    for class in &mut classes {
-        class.retain(|&r| r != victim);
+    let from = schedule.group_of[victim as usize] as usize;
+    let home = schedule.group_of[neighbor as usize] as usize;
+    let mut groups = schedule.groups.clone();
+    let mut group_parts = schedule.group_parts.clone();
+    groups[from].retain(|&r| r != victim);
+    groups[home].push(victim);
+    groups[home].sort_unstable();
+    for g in [from, home] {
+        group_parts[g] = balanced_ranges(&vec![1u64; groups[g].len()], p);
     }
-    let home = classes
-        .iter()
-        .position(|c| c.contains(&neighbor))
-        .expect("neighbor is colored");
-    classes[home].push(victim);
-    classes[home].sort_unstable();
 
-    let err = certify_color(&sss, &classes).unwrap_err();
+    let err = certify_race(&sss, &groups, &group_parts, p).unwrap_err();
     assert!(
         matches!(err, VerifyError::ColoringConflict { .. }),
         "static layer: {err:?}"
     );
 
-    // Execute the bad class the way the color kernel would: two workers,
+    // Execute the bad group the way the race kernel would: two workers,
     // each owning one of the conflicting rows, writing y[row] and y[col]
     // in the same barrier-delimited round.
     let n = sss.n() as usize;
@@ -167,7 +179,7 @@ fn wrong_color_caught_by_both_layers() {
         for (&c, &v) in cols.iter().zip(vals) {
             acc += v;
             // SAFETY(cert: test-only): deliberately executing an invalid
-            // coloring so the shadow layer can observe the collision; the
+            // grouping so the shadow layer can observe the collision; the
             // shadow-map mutex serializes the underlying stores.
             unsafe { buf.add(c as usize, v) };
         }

@@ -1,20 +1,19 @@
 //! Differential conformance: the symbolic certifier must re-derive every
 //! certificate the enumerative checker issues — **bit for bit** after
-//! normalizing the proof-form tag — across all nine kernel formats, the
+//! normalizing the proof-form tag — across eight kernel formats, the
 //! three reduction strategies, the three symmetry kinds, every supported
 //! lane width and thread counts 1–8. The symbolic path never touches the
 //! matrix during certification (structure facts are distilled once, in
-//! `O(n + nnz)`), so the same sweep also pins the asymptotic win: on the
+//! `O(n)`), so the same sweep also pins the asymptotic win: on the
 //! largest suite matrix the per-plan symbolic proof must be at least 10×
 //! faster than the enumerative re-walk.
 //!
-//! Format → certifier mapping (the nine formats of the roadmap):
+//! Format → certifier mapping:
 //!
 //! | formats                              | plan geometry      | certifier pair                     |
 //! |--------------------------------------|--------------------|------------------------------------|
 //! | `csr`, `csx`, `bcsr`, `csb`, `sym-atomic` | row partition | `certify_rows` / `certify_rows_symbolic` |
 //! | `sss`, `csx-sym`, `hybrid`           | symmetric SSS plan | `certify_sym` / `certify_sym_symbolic`   |
-//! | `sss-color`                          | stride coloring    | `certify_color` / `certify_color_symbolic` |
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -28,9 +27,8 @@ use symspmv_sparse::suite::generate_suite;
 use symspmv_sparse::symmetry::SymmetryKind;
 use symspmv_sparse::SssMatrix;
 use symspmv_verify::{
-    certify_color, certify_color_symbolic, certify_rows, certify_rows_symbolic, certify_sym,
-    certify_sym_symbolic, lift_sym_certificate, lift_symbolic, stride_classes, ProofForm,
-    RaceCertificate, StructureFacts, SymPlanRef, SymStrategyKind,
+    certify_rows, certify_rows_symbolic, certify_sym, certify_sym_symbolic, lift_sym_certificate,
+    lift_symbolic, ProofForm, RaceCertificate, StructureFacts, SymPlanRef, SymStrategyKind,
 };
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -157,22 +155,20 @@ fn differential_sym_sweep(sss: &SssMatrix, label: &str) -> usize {
 }
 
 /// The whole-suite differential: symmetric suite matrices through the
-/// SSS-plan formats (`sss`, `csx-sym`, `hybrid` share the geometry), the
-/// row-partition formats, and the stride colorings.
+/// SSS-plan formats (`sss`, `csx-sym`, `hybrid` share the geometry) and
+/// the row-partition formats.
 #[test]
 fn symbolic_agrees_with_enumerative_across_the_suite() {
     let suite = generate_suite(0.002);
     assert_eq!(suite.len(), 12);
     let mut sym_pairs = 0usize;
     let mut row_pairs = 0usize;
-    let mut color_pairs = 0usize;
 
     for m in &suite {
         let sss = SssMatrix::from_coo(&m.coo, 0.0).unwrap();
         sym_pairs += differential_sym_sweep(&sss, m.spec.name);
 
         // Row-partition formats: same parts, every family tag.
-        let facts = StructureFacts::of(&sss);
         for p in THREAD_COUNTS {
             let parts = balanced_ranges(&vec![1u64; sss.n() as usize], p);
             for family in ROW_FORMATS {
@@ -184,34 +180,12 @@ fn symbolic_agrees_with_enumerative_across_the_suite() {
                 row_pairs += 1;
             }
         }
-
-        // Stride coloring: any stride beyond the bandwidth is barrier-free;
-        // the enumerative checker walks every row to prove it, the
-        // symbolic one discharges it from the bandwidth fact alone.
-        let stride = facts.bandwidth + 1;
-        if stride <= facts.n {
-            let classes = stride_classes(facts.n, stride);
-            let enumerated = certify_color(&sss, &classes)
-                .unwrap_or_else(|e| panic!("{}: stride coloring rejected: {e}", m.spec.name));
-            let symbolic_cert = certify_color_symbolic(&facts, stride)
-                .unwrap_or_else(|e| panic!("{}: symbolic coloring rejected: {e}", m.spec.name));
-            assert!(matches!(
-                symbolic_cert.proof,
-                ProofForm::ColoringDisjoint { .. }
-            ));
-            assert_eq!(normalized(symbolic_cert), normalized(enumerated));
-            color_pairs += 1;
-        }
     }
 
     // Coverage pins: 12 matrices × 4 thread counts × 3 strategies ×
     // (1 scalar + |SUPPORTED_LANES| lifted) pairs, 12 × 4 × 5 row pairs.
     assert_eq!(sym_pairs, 12 * 4 * 3 * (1 + SUPPORTED_LANES.len()));
     assert_eq!(row_pairs, 12 * 4 * 5);
-    assert!(
-        color_pairs >= 10,
-        "almost every suite matrix is banded enough for a stride coloring, got {color_pairs}"
-    );
 }
 
 /// The skew and structural kinds go through the same differential sweep —

@@ -20,8 +20,8 @@
 //! let a = symspmv::sparse::gen::laplacian_2d(32, 32);
 //! let n = a.nrows() as usize;
 //!
-//! // One execution context owns the worker pool, the buffer arena, and
-//! // the reduction-strategy registry shared by kernels and solver alike.
+//! // One execution context owns the worker pool and the buffer arena,
+//! // shared by kernels and solver alike.
 //! let ctx = ExecutionContext::new(4);
 //!
 //! // The paper's fastest configuration: CSX-Sym storage plus the

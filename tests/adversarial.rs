@@ -17,7 +17,7 @@ fn specs() -> Vec<KernelSpec> {
         "sss-eff",
         "sss-idx",
         "sss-atomic",
-        "sss-color",
+        "sss-race",
         "csxsym-idx",
     ]
     .iter()

@@ -30,7 +30,7 @@ fn all_specs() -> Vec<KernelSpec> {
     v.push(KernelSpec::parse("csb").unwrap());
     v.push(KernelSpec::parse("csb-sym").unwrap());
     v.push(KernelSpec::parse("bcsr").unwrap());
-    v.push(KernelSpec::parse("sss-color").unwrap());
+    v.push(KernelSpec::parse("sss-race").unwrap());
     v.push(KernelSpec::parse("hybrid-idx").unwrap());
     v.push(KernelSpec::parse("hybrid-eff").unwrap());
     v
